@@ -170,22 +170,24 @@ func TestSessionReadAfterDurabilityError(t *testing.T) {
 // mutation queue sits at MaxPending past the caller's deadline, the write is
 // bounced with a typed OverloadedError instead of blocking indefinitely.
 func TestOverloadedAdmission(t *testing.T) {
-	// A slow disk keeps the writer busy for ~1s per WAL sync, so the queue
-	// stays full while the short-deadline write waits for admission.
-	fsys := faultfs.New(faultfs.NewSchedule().LatencyOn(faultfs.OpSync, "wal-", 300*time.Millisecond))
+	fsys := faultfs.New(nil)
 	srv, db := newFaultedServer(t, t.TempDir(), fsys,
 		persist.Options{Sync: persist.SyncAlways, CheckpointBytes: -1, CheckpointRecords: -1},
 		webreason.ServerOptions{FlushEvery: 1, MaxPending: 1})
 	defer db.Close()
 	defer srv.Close()
+	// The writer parks in the first write's WAL fsync, so the queue stays
+	// full while the short-deadline write waits for admission.
+	hold := faultfs.NewHold()
+	fsys.SetSchedule(faultfs.NewSchedule().HoldOn(faultfs.OpSync, "wal-", 1, hold))
+	defer hold.Release()
 
-	// First write: writer picks it up and stalls in the slow fsync (the sleep
-	// gives it time to grab the batch, so the second write really sits in the
-	// queue at MaxPending rather than joining the first batch).
+	// First write: the writer takes it and parks in the fsync; only then is
+	// the queue empty for the second write, which stays queued behind it.
 	if err := srv.Insert(degTriple(0)); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(50 * time.Millisecond)
+	<-hold.Held()
 	if err := srv.Insert(degTriple(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -208,6 +210,7 @@ func TestOverloadedAdmission(t *testing.T) {
 	}
 
 	// Without a deadline the same write admits once the writer catches up.
+	hold.Release()
 	if err := srv.Insert(degTriple(2)); err != nil {
 		t.Fatalf("unbounded write should eventually admit, got %v", err)
 	}
@@ -220,21 +223,30 @@ func TestOverloadedAdmission(t *testing.T) {
 // semantics: expiring the context during the durability wait returns the
 // context error, while the write itself stays accepted and becomes visible.
 func TestDurableContextAbandonsWaitNotWrite(t *testing.T) {
-	fsys := faultfs.New(faultfs.NewSchedule().LatencyOn(faultfs.OpSync, "wal-", 200*time.Millisecond))
+	fsys := faultfs.New(nil)
 	srv, db := newFaultedServer(t, t.TempDir(), fsys,
 		persist.Options{Sync: persist.SyncAlways, CheckpointBytes: -1, CheckpointRecords: -1},
 		webreason.ServerOptions{FlushEvery: 1})
 	defer db.Close()
 	defer srv.Close()
+	// The write's WAL fsync parks until the context has been cancelled.
+	hold := faultfs.NewHold()
+	fsys.SetSchedule(faultfs.NewSchedule().HoldOn(faultfs.OpSync, "wal-", 1, hold))
+	defer hold.Release()
 
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	go func() {
+		<-hold.Held()
+		cancel()
+	}()
 	err := srv.InsertDurableContext(ctx, degTriple(0))
-	if !errors.Is(err, context.DeadlineExceeded) {
+	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled durability wait should return the context error, got %v", err)
 	}
 
 	// The write was not undone: once the writer drains, it is visible.
+	hold.Release()
 	if err := srv.Flush(); err != nil {
 		t.Fatal(err)
 	}

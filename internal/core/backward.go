@@ -54,25 +54,10 @@ func (b *Backward) republish() {
 }
 
 // Answer implements Strategy: ordinary evaluation against the virtual view.
-func (b *Backward) Answer(q *sparql.Query) (*engine.Result, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	res, err := engine.EvalBGP(b.cur.Load(), q.Patterns, b.kb.dict)
-	if err != nil {
-		return nil, err
-	}
-	return finish(res, q), nil
-}
+func (b *Backward) Answer(q *sparql.Query) (*engine.Result, error) { return answerOnce(b, q) }
 
 // Ask implements Strategy.
-func (b *Backward) Ask(q *sparql.Query) (bool, error) {
-	res, err := b.Answer(q)
-	if err != nil {
-		return false, err
-	}
-	return len(res.Rows) > 0, nil
-}
+func (b *Backward) Ask(q *sparql.Query) (bool, error) { return askOnce(b, q) }
 
 // Insert implements Strategy: O(1) per instance triple, schema triples
 // rebuild the (small) schema closure.
@@ -172,28 +157,35 @@ func (pq *backPrepared) rebuild(v *inferredView) error {
 	return nil
 }
 
-func (pq *backPrepared) Answer() (*engine.Result, error) {
-	if v := pq.b.cur.Load(); v != pq.view {
-		if v.sch == pq.view.sch {
-			pq.p.Rebind(v)
-			pq.view = v
-		} else if err := pq.rebuild(v); err != nil {
-			return nil, err
-		}
+// follow brings the plan up to the current view: a rebind after data-only
+// swaps, a fresh plan after a schema change.
+func (pq *backPrepared) follow() error {
+	v := pq.b.cur.Load()
+	if v == pq.view {
+		return nil
 	}
-	res := pq.p.EvalDistinct(pq.proj)
-	if pq.q.Limit > 0 {
-		res = res.Limit(pq.q.Limit)
+	if v.sch != pq.view.sch {
+		return pq.rebuild(v)
 	}
-	return res, nil
+	pq.p.Rebind(v)
+	pq.view = v
+	return nil
 }
 
+func (pq *backPrepared) Answer() (*engine.Result, error) {
+	if err := pq.follow(); err != nil {
+		return nil, err
+	}
+	return pq.p.EvalDistinct(pq.proj, pq.q.Limit), nil
+}
+
+// Ask evaluates with an empty projection, which stops the join at the
+// first match.
 func (pq *backPrepared) Ask() (bool, error) {
-	res, err := pq.Answer()
-	if err != nil {
+	if err := pq.follow(); err != nil {
 		return false, err
 	}
-	return len(res.Rows) > 0, nil
+	return len(pq.p.EvalDistinct(nil, 1).Rows) > 0, nil
 }
 
 var _ Strategy = (*Backward)(nil)

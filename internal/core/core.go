@@ -137,11 +137,8 @@ func (kb *KB) Remove(t rdf.Triple) bool {
 	return kb.base.Remove(enc)
 }
 
-// LoadGraph asserts every triple of g, returning the number added. When the
-// base store is still empty its indexes are pre-sized for the incoming
-// graph, so the initial bulk load avoids incremental map growth.
+// LoadGraph asserts every triple of g, returning the number added.
 func (kb *KB) LoadGraph(g *rdf.Graph) (int, error) {
-	kb.base.Reserve(g.Len())
 	n := 0
 	var firstErr error
 	g.ForEach(func(t rdf.Triple) bool {

@@ -32,7 +32,8 @@ type Strategy interface {
 	Name() string
 	// Answer returns the answer set of q with respect to RDF entailment:
 	// the evaluation of q against G∞, deduplicated over the projection
-	// (certain-answer semantics; LIMIT is applied afterwards).
+	// (certain-answer semantics; a LIMIT stops evaluation once that many
+	// distinct rows exist).
 	Answer(q *sparql.Query) (*engine.Result, error)
 	// Ask reports whether the query pattern has any answer against G∞.
 	Ask(q *sparql.Query) (bool, error)
@@ -81,13 +82,22 @@ type PreparedQuery interface {
 	Ask() (bool, error)
 }
 
-// finish applies the shared answer post-processing.
-func finish(res *engine.Result, q *sparql.Query) *engine.Result {
-	out := res.Project(q.Projection()).Distinct()
-	if q.Limit > 0 {
-		out = out.Limit(q.Limit)
+// answerOnce and askOnce run a one-off query the way every read runs:
+// prepare it against the strategy's current state, then execute it once.
+func answerOnce(s Strategy, q *sparql.Query) (*engine.Result, error) {
+	pq, err := s.Prepare(q)
+	if err != nil {
+		return nil, err
 	}
-	return out
+	return pq.Answer()
+}
+
+func askOnce(s Strategy, q *sparql.Query) (bool, error) {
+	pq, err := s.Prepare(q)
+	if err != nil {
+		return false, err
+	}
+	return pq.Ask()
 }
 
 // encodeAll converts term triples for a strategy, validating well-formedness.
@@ -153,25 +163,10 @@ func (s *Saturation) Name() string { return "saturation" }
 func (s *Saturation) Materialization() *reason.Materialization { return s.mat }
 
 // Answer implements Strategy by plain evaluation on the current G∞ snapshot.
-func (s *Saturation) Answer(q *sparql.Query) (*engine.Result, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	res, err := engine.EvalBGP(s.cur.Load(), q.Patterns, s.kb.dict)
-	if err != nil {
-		return nil, err
-	}
-	return finish(res, q), nil
-}
+func (s *Saturation) Answer(q *sparql.Query) (*engine.Result, error) { return answerOnce(s, q) }
 
 // Ask implements Strategy.
-func (s *Saturation) Ask(q *sparql.Query) (bool, error) {
-	res, err := s.Answer(q)
-	if err != nil {
-		return false, err
-	}
-	return len(res.Rows) > 0, nil
-}
+func (s *Saturation) Ask(q *sparql.Query) (bool, error) { return askOnce(s, q) }
 
 // Insert implements Strategy with incremental saturation maintenance. The
 // whole batch becomes visible to readers at once, when the post-maintenance
@@ -247,19 +242,14 @@ func (pq *satPrepared) Query() *sparql.Query { return pq.q }
 
 func (pq *satPrepared) Answer() (*engine.Result, error) {
 	pq.p.Rebind(pq.s.cur.Load())
-	res := pq.p.EvalDistinct(pq.proj)
-	if pq.q.Limit > 0 {
-		res = res.Limit(pq.q.Limit)
-	}
-	return res, nil
+	return pq.p.EvalDistinct(pq.proj, pq.q.Limit), nil
 }
 
+// Ask evaluates with an empty projection, which stops the join at the
+// first match.
 func (pq *satPrepared) Ask() (bool, error) {
-	res, err := pq.Answer()
-	if err != nil {
-		return false, err
-	}
-	return len(res.Rows) > 0, nil
+	pq.p.Rebind(pq.s.cur.Load())
+	return len(pq.p.EvalDistinct(nil, 1).Rows) > 0, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -347,33 +337,13 @@ func (r *Reformulation) Reformulate(q *sparql.Query) (*reformulate.UCQ, error) {
 	return reformulate.Reformulate(q, st.sch, r.kb.dict, st.src, r.opt)
 }
 
-// Answer implements Strategy: rewrite, then evaluate the union on G — both
-// against the same immutable state, so a concurrent mutation cannot slip
-// between rewriting and evaluation.
-func (r *Reformulation) Answer(q *sparql.Query) (*engine.Result, error) {
-	st := r.cur.Load()
-	ucq, err := reformulate.Reformulate(q, st.sch, r.kb.dict, st.src, r.opt)
-	if err != nil {
-		return nil, err
-	}
-	res, err := ucq.Evaluate(st.src, r.kb.dict)
-	if err != nil {
-		return nil, err
-	}
-	if q.Limit > 0 {
-		res = res.Limit(q.Limit)
-	}
-	return res, nil
-}
+// Answer implements Strategy: rewrite, then evaluate the union on G. The
+// prepared union revalidates against the current state before it runs, so
+// rewriting and evaluation always see the same immutable state.
+func (r *Reformulation) Answer(q *sparql.Query) (*engine.Result, error) { return answerOnce(r, q) }
 
 // Ask implements Strategy.
-func (r *Reformulation) Ask(q *sparql.Query) (bool, error) {
-	res, err := r.Answer(q)
-	if err != nil {
-		return false, err
-	}
-	return len(res.Rows) > 0, nil
-}
+func (r *Reformulation) Ask(q *sparql.Query) (bool, error) { return askOnce(r, q) }
 
 // Insert implements Strategy: O(1) per instance triple; schema triples
 // additionally re-close the (small) schema.
@@ -435,10 +405,7 @@ func (r *Reformulation) Len() int { return r.cur.Load().src.Count(store.Triple{}
 // prepared union on any mutation" gap: update-heavy workloads pay one
 // pointer swap per branch instead of a full rewrite.
 func (r *Reformulation) Prepare(q *sparql.Query) (PreparedQuery, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	pq := &refPrepared{r: r, q: q}
+	pq := &refPrepared{r: r, q: q} // rebuild's rewriting validates q
 	if err := pq.rebuild(r.cur.Load()); err != nil {
 		return nil, err
 	}
@@ -521,22 +488,15 @@ func (pq *refPrepared) Answer() (*engine.Result, error) {
 	if err := pq.revalidate(); err != nil {
 		return nil, err
 	}
-	res, err := pq.pu.Evaluate()
-	if err != nil {
-		return nil, err
-	}
-	if pq.q.Limit > 0 {
-		res = res.Limit(pq.q.Limit)
-	}
-	return res, nil
+	return pq.pu.Evaluate(pq.q.Limit), nil
 }
 
+// Ask stops at the first answer, skipping the union's later branches.
 func (pq *refPrepared) Ask() (bool, error) {
-	res, err := pq.Answer()
-	if err != nil {
+	if err := pq.revalidate(); err != nil {
 		return false, err
 	}
-	return len(res.Rows) > 0, nil
+	return len(pq.pu.Evaluate(1).Rows) > 0, nil
 }
 
 // storeView is the read-only store surface shared by *store.Store and
@@ -621,11 +581,11 @@ func PlainAnswer(kb *KB, q *sparql.Query) (*engine.Result, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	res, err := engine.EvalBGP(kb.base, q.Patterns, kb.dict)
+	p, err := engine.Prepare(kb.base, q.Patterns, kb.dict)
 	if err != nil {
 		return nil, err
 	}
-	return finish(res, q), nil
+	return p.EvalDistinct(q.Projection(), q.Limit), nil
 }
 
 // NewStrategy builds a strategy by name ("saturation", "reformulation",
@@ -654,14 +614,14 @@ func NewStrategy(name string, kb *KB) (Strategy, error) {
 func RestoreStrategy(name string, ls *persist.LoadedState) (*KB, Strategy, error) {
 	base := ls.Base
 	if base == nil && !(name == "saturation" && ls.Saturated != nil) {
-		base = store.NewWithCapacity(ls.BaseSet.Len())
+		base = store.New()
 		ls.BaseSet.ForEach(func(t store.Triple) bool { base.Add(t); return true })
 	}
 	kb := RestoreKB(ls.Dict, base)
 	if name == "saturation" && ls.Saturated != nil {
 		baseSet := ls.BaseSet
 		if baseSet == nil {
-			baseSet = store.NewTripleSet(ls.Base.Len())
+			baseSet = store.NewTripleSet()
 			ls.Base.ForEachMatch(store.Triple{}, func(t store.Triple) bool { baseSet.Add(t); return true })
 		}
 		return kb, NewSaturationRestored(kb, baseSet, ls.Saturated), nil

@@ -54,7 +54,7 @@ func TestPreparedReplanOnSizeDrift(t *testing.T) {
 	for i := 40; i < 50; i++ {
 		st.Add(store.Triple{S: ids[i], P: likes, O: ids[i+1]})
 	}
-	p.Eval()
+	p.EvalDistinct(p.Vars(), 0)
 	if p.planSize != size0 {
 		t.Fatalf("replanned below the drift threshold (planSize %d -> %d)", size0, p.planSize)
 	}
@@ -67,7 +67,7 @@ func TestPreparedReplanOnSizeDrift(t *testing.T) {
 	if st.Len() <= replanDrift*size0 {
 		t.Fatalf("test setup: store grew to %d, need > %d", st.Len(), replanDrift*size0)
 	}
-	p.Eval()
+	p.EvalDistinct(p.Vars(), 0)
 	if p.planSize == size0 {
 		t.Fatal("plan statistics not refreshed after >2x growth")
 	}
@@ -85,7 +85,7 @@ func TestPreparedReplanOnSizeDrift(t *testing.T) {
 	for _, tr := range toRemove {
 		st.Remove(tr)
 	}
-	p.Eval()
+	p.EvalDistinct(p.Vars(), 0)
 	if p.planSize == sizeBig {
 		t.Fatal("plan statistics not refreshed after >2x shrink")
 	}
@@ -126,16 +126,16 @@ func TestPreparedRebindLosesSortedSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := len(prep.Eval().Rows)
+	want := len(prep.EvalDistinct(prep.Vars(), 0).Rows)
 	if want != 20 {
 		t.Fatalf("sorted eval: %d rows, want 20", want)
 	}
 	prep.Rebind(plainSource{st})
-	if got := len(prep.Eval().Rows); got != want { // must not panic, same answers
+	if got := len(prep.EvalDistinct(prep.Vars(), 0).Rows); got != want { // must not panic, same answers
 		t.Fatalf("plain-source eval after rebind: %d rows, want %d", got, want)
 	}
 	prep.Rebind(st.Snapshot())
-	if got := len(prep.Eval().Rows); got != want {
+	if got := len(prep.EvalDistinct(prep.Vars(), 0).Rows); got != want {
 		t.Fatalf("re-sorted eval after rebind: %d rows, want %d", got, want)
 	}
 }
@@ -156,7 +156,7 @@ func TestPreparedRebind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(prep.Eval().Rows); got != 1 {
+	if got := len(prep.EvalDistinct(prep.Vars(), 0).Rows); got != 1 {
 		t.Fatalf("initial eval: %d rows, want 1", got)
 	}
 
@@ -164,7 +164,7 @@ func TestPreparedRebind(t *testing.T) {
 	st.Add(store.Triple{S: b, P: p1, O: c})
 
 	prep.Rebind(snap)
-	if got := len(prep.Eval().Rows); got != 1 {
+	if got := len(prep.EvalDistinct(prep.Vars(), 0).Rows); got != 1 {
 		t.Fatalf("snapshot-bound eval: %d rows, want 1 (snapshot predates second add)", got)
 	}
 	if prep.ss == nil {
@@ -172,7 +172,7 @@ func TestPreparedRebind(t *testing.T) {
 	}
 
 	prep.Rebind(st.Snapshot())
-	if got := len(prep.Eval().Rows); got != 2 {
+	if got := len(prep.EvalDistinct(prep.Vars(), 0).Rows); got != 2 {
 		t.Fatalf("fresh-snapshot eval: %d rows, want 2", got)
 	}
 }

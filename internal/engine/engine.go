@@ -1,14 +1,17 @@
 // Package engine evaluates BGP queries over a triple source: variable
-// binding, greedy selectivity-based join ordering, and index nested-loop
-// joins over the store's pattern indexes. It is deliberately agnostic about
-// where the triples come from — the saturated store, the original store
-// (for reformulated queries) or a virtual backward-chaining view all
-// implement Source — so the paper's three query-answering techniques differ
-// only in the Source and the query they hand to the same evaluator.
+// binding, greedy selectivity-based join ordering, index nested-loop joins
+// over the store's pattern indexes and sorted merge joins where the source
+// keeps its leaves ordered. Prepared is its one evaluator, for one-off and
+// repeated queries alike. It is deliberately agnostic about where the
+// triples come from — the saturated store, the original store (for
+// reformulated queries) or a virtual backward-chaining view all implement
+// Source — so the paper's three query-answering techniques differ only in
+// the Source and the query they hand to the same evaluator.
 package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/dict"
@@ -42,11 +45,10 @@ type cpattern struct {
 	idx int
 }
 
-// Compiled is a BGP compiled against a dictionary: variables numbered, and
+// compiled is a BGP compiled against a dictionary: variables numbered, and
 // constant terms resolved to IDs.
-type Compiled struct {
-	vars     []string
-	varIndex map[string]int
+type compiled struct {
+	vars []string
 	// patterns holds the compiled patterns in original BGP order, so
 	// patterns[i].idx == i: a PlanStep.PatternIndex indexes patterns
 	// directly.
@@ -56,18 +58,24 @@ type Compiled struct {
 	impossible bool
 }
 
-// Compile prepares the triple patterns for evaluation. Constant terms that
-// are not in the dictionary make the query trivially empty (they cannot
-// occur in any triple), which Compile records rather than treating as an
-// error.
-func Compile(patterns []rdf.Triple, d *dict.Dict) (*Compiled, error) {
-	c := &Compiled{varIndex: map[string]int{}}
+// compile resolves the triple patterns against d. Constant terms that are
+// not in the dictionary make the query trivially empty (they cannot occur
+// in any triple), which compile records rather than treating as an error.
+// Variables are numbered by a linear scan: BGPs are small, and a name map
+// would cost more to build than it saves.
+func compile(patterns []rdf.Triple, d *dict.Dict) (compiled, error) {
+	var c compiled
+	if len(patterns) == 0 {
+		return c, fmt.Errorf("engine: empty BGP")
+	}
 	mk := func(t rdf.Term) (slot, error) {
 		if t.IsVar() {
-			i, ok := c.varIndex[t.Value]
-			if !ok {
+			i := slices.Index(c.vars, t.Value)
+			if i < 0 {
+				if c.vars == nil {
+					c.vars = make([]string, 0, 3*len(patterns))
+				}
 				i = len(c.vars)
-				c.varIndex[t.Value] = i
 				c.vars = append(c.vars, t.Value)
 			}
 			return slot{isVar: true, v: i}, nil
@@ -82,29 +90,24 @@ func Compile(patterns []rdf.Triple, d *dict.Dict) (*Compiled, error) {
 		}
 		return slot{id: id}, nil
 	}
+	c.patterns = make([]cpattern, len(patterns))
 	for i, p := range patterns {
 		s, err := mk(p.S)
 		if err != nil {
-			return nil, err
+			return compiled{}, err
 		}
 		pr, err := mk(p.P)
 		if err != nil {
-			return nil, err
+			return compiled{}, err
 		}
 		o, err := mk(p.O)
 		if err != nil {
-			return nil, err
+			return compiled{}, err
 		}
-		c.patterns = append(c.patterns, cpattern{s: s, p: pr, o: o, idx: i})
-	}
-	if len(c.patterns) == 0 {
-		return nil, fmt.Errorf("engine: empty BGP")
+		c.patterns[i] = cpattern{s: s, p: pr, o: o, idx: i}
 	}
 	return c, nil
 }
-
-// Vars returns the variable names in first-occurrence order.
-func (c *Compiled) Vars() []string { return c.vars }
 
 // concrete returns the store pattern for cp under bindings b: constants and
 // bound variables become IDs, unbound variables become wildcards.
@@ -145,15 +148,32 @@ type PlanStep struct {
 	EstimatedCost int
 }
 
-// plan orders patterns greedily: repeatedly pick the cheapest pattern given
-// the variables bound so far. The cost of a pattern is the source count
-// with only constants bound, discounted for every position held by an
-// already-bound variable (it will act as a constant at execution time).
-func (c *Compiled) plan(src Source) []PlanStep {
-	remaining := make([]cpattern, len(c.patterns))
+// smallBGP bounds the patterns (and smallBGP×3 the variables) whose planning
+// scratch lives in fixed-size stack arrays; larger BGPs fall back to the
+// heap.
+const smallBGP = 8
+
+// scratch returns buf[:n] when it fits, else a fresh slice; buf must be
+// zeroed (a fresh stack array).
+func scratch[T any](buf []T, n int) []T {
+	if n <= len(buf) {
+		return buf[:n]
+	}
+	return make([]T, n)
+}
+
+// plan orders patterns greedily into steps (reusing its backing array):
+// repeatedly pick the cheapest pattern given the variables bound so far.
+// The cost of a pattern is the source count with only constants bound,
+// discounted for every position held by an already-bound variable (it will
+// act as a constant at execution time).
+func (c *compiled) plan(src Source, steps []PlanStep) []PlanStep {
+	var remBuf [smallBGP]cpattern
+	var boundBuf [3 * smallBGP]bool
+	remaining := scratch(remBuf[:], len(c.patterns))
 	copy(remaining, c.patterns)
-	bound := make([]bool, len(c.vars))
-	var steps []PlanStep
+	bound := scratch(boundBuf[:], len(c.vars))
+	steps = steps[:0]
 	for len(remaining) > 0 {
 		best, bestCost := 0, -1
 		for i, cp := range remaining {
@@ -202,155 +222,25 @@ func (c *Compiled) plan(src Source) []PlanStep {
 	return steps
 }
 
-// Plan returns the join order the engine would use against src.
-func (c *Compiled) Plan(src Source) []PlanStep { return c.plan(src) }
-
-// Result holds variable bindings produced by evaluation. Rows are aligned
-// with Vars; dict.None marks an unbound position (does not occur for BGPs,
-// where every selected variable is bound by the pattern).
+// Result holds the answer rows of an evaluation, aligned with Vars;
+// dict.None marks a projected variable the pattern does not bind. Vars is
+// the projection the evaluation was given, shared with the query: treat it
+// as read-only.
 type Result struct {
 	Vars []string
 	Rows [][]dict.ID
 }
 
-// Eval evaluates the compiled BGP against src, returning one row per match
-// (bag semantics, as SPARQL evaluation defines).
-func (c *Compiled) Eval(src Source) *Result {
-	res := &Result{Vars: c.vars}
-	if c.impossible {
-		return res
-	}
-	order := c.plan(src)
-	// patterns is in original BGP order (patterns[i].idx == i), so each plan
-	// step maps back to its compiled pattern by direct indexing (this used
-	// to be a quadratic nested scan over the patterns).
-	ordered := make([]cpattern, len(order))
-	for i, st := range order {
-		ordered[i] = c.patterns[st.PatternIndex]
-	}
-	w := len(c.vars)
-	b := make([]dict.ID, w)
-	// undo is a single shared stack of bound variable indexes; each join
-	// level remembers its mark and pops back to it, so the inner loop does
-	// not allocate a fresh undo slice per matched triple.
-	undo := make([]int, 0, 3*len(ordered))
-	// Result rows are carved out of chunked arenas: one allocation per
-	// rowChunk rows instead of one per row. Full chunks stay referenced by
-	// the rows sliced from them; only the unused tail of the last chunk is
-	// waste.
-	const rowChunk = 128
-	var arena []dict.ID
-	emit := func() {
-		if w == 0 {
-			res.Rows = append(res.Rows, nil)
-			return
-		}
-		if len(arena)+w > cap(arena) {
-			arena = make([]dict.ID, 0, rowChunk*w)
-		}
-		n := len(arena)
-		arena = arena[: n+w : cap(arena)]
-		row := arena[n : n+w : n+w]
-		copy(row, b)
-		res.Rows = append(res.Rows, row)
-	}
-	// One callback per join level, allocated up front: the per-triple inner
-	// loop then runs closure-allocation-free.
-	callbacks := make([]func(store.Triple) bool, len(ordered))
-	var rec func(depth int)
-	rec = func(depth int) {
-		if depth == len(ordered) {
-			emit()
-			return
-		}
-		src.ForEachMatch(concrete(ordered[depth], b), callbacks[depth])
-	}
-	for depth := range callbacks {
-		cp := ordered[depth]
-		next := depth + 1
-		callbacks[depth] = func(t store.Triple) bool {
-			mark := len(undo)
-			if bind(cp, t, b, &undo) {
-				rec(next)
-			}
-			for _, v := range undo[mark:] {
-				b[v] = dict.None
-			}
-			undo = undo[:mark]
-			return true
-		}
-	}
-	rec(0)
-	return res
-}
-
-// EvalBGP compiles and evaluates patterns in one call.
-func EvalBGP(src Source, patterns []rdf.Triple, d *dict.Dict) (*Result, error) {
-	c, err := Compile(patterns, d)
-	if err != nil {
-		return nil, err
-	}
-	return c.Eval(src), nil
-}
-
-// Project returns a new result restricted to the named variables, in that
-// order. Unknown variables yield dict.None columns (used for reformulation
-// branches that fix a variable to a constant instead of binding it). When
-// the projection is the identity (same variables, same order), the rows are
-// shared with the receiver rather than copied.
-func (r *Result) Project(vars []string) *Result {
-	idx := make([]int, len(vars))
-	identity := len(vars) == len(r.Vars)
-	for i, v := range vars {
-		idx[i] = -1
-		for j, have := range r.Vars {
-			if have == v {
-				idx[i] = j
-				break
-			}
-		}
-		if idx[i] != i {
-			identity = false
-		}
-	}
-	out := &Result{Vars: append([]string(nil), vars...)}
-	if identity {
-		// Share the rows but copy the slice header, so in-place operations
-		// on the projection (Sort) cannot reorder the receiver.
-		out.Rows = append([][]dict.ID(nil), r.Rows...)
-		return out
-	}
-	// Projected rows are carved out of one flat arena: a single allocation
-	// for the whole result instead of one per row.
-	w := len(vars)
-	out.Rows = make([][]dict.ID, 0, len(r.Rows))
-	arena := make([]dict.ID, 0, w*len(r.Rows))
-	for _, row := range r.Rows {
-		n := len(arena)
-		arena = arena[: n+w : cap(arena)]
-		nr := arena[n : n+w : n+w]
-		for i, j := range idx {
-			if j >= 0 {
-				nr[i] = row[j]
-			} else {
-				nr[i] = dict.None
-			}
-		}
-		out.Rows = append(out.Rows, nr)
-	}
-	return out
-}
-
-// rowSet is a width-specialized set of binding rows, the shared dedup
-// machinery of Result.Distinct and Prepared's fused distinct. Rows are keyed
-// on binary values rather than formatted text: widths up to three use
+// RowSet is a width-specialized set of binding rows: the dedup of
+// Prepared's fused distinct, and of unions of prepared results. Rows are
+// keyed on binary values rather than formatted text: widths one to three use
 // fixed-size ID arrays as comparable map keys (no per-row allocation at
-// all); wider rows fall back to the raw little-endian bytes of the IDs as a
-// string key (unambiguous, since all rows of one set have the same width,
-// and costing one key allocation per distinct row). reset empties the set
+// all); other widths fall back to the raw little-endian bytes of the IDs as
+// a string key (unambiguous, since all rows of one set have the same width,
+// and costing one key allocation per distinct row). Reset empties the set
 // but keeps the allocated buckets, so a reused set is allocation-free at
 // steady state.
-type rowSet struct {
+type RowSet struct {
 	w      int
 	seen1  map[dict.ID]struct{}
 	seen2  map[[2]dict.ID]struct{}
@@ -359,10 +249,9 @@ type rowSet struct {
 	keyBuf []byte
 }
 
-// newRowSet returns a set for rows of width w (w ≥ 1), sized for about hint
-// rows.
-func newRowSet(w, hint int) *rowSet {
-	s := &rowSet{w: w}
+// NewRowSet returns a set for rows of width w, sized for about hint rows.
+func NewRowSet(w, hint int) *RowSet {
+	s := &RowSet{w: w}
 	switch w {
 	case 1:
 		s.seen1 = make(map[dict.ID]struct{}, hint)
@@ -377,8 +266,8 @@ func newRowSet(w, hint int) *rowSet {
 	return s
 }
 
-// add inserts the row, reporting whether it was new.
-func (s *rowSet) add(row []dict.ID) bool {
+// Add inserts the row, reporting whether it was new.
+func (s *RowSet) Add(row []dict.ID) bool {
 	switch s.w {
 	case 1:
 		if _, dup := s.seen1[row[0]]; dup {
@@ -411,8 +300,8 @@ func (s *rowSet) add(row []dict.ID) bool {
 	return true
 }
 
-// reset empties the set, retaining the buckets.
-func (s *rowSet) reset() {
+// Reset empties the set, retaining the buckets.
+func (s *RowSet) Reset() {
 	switch s.w {
 	case 1:
 		clear(s.seen1)
@@ -423,33 +312,6 @@ func (s *rowSet) reset() {
 	default:
 		clear(s.seenN)
 	}
-}
-
-// Distinct removes duplicate rows, preserving first-occurrence order; see
-// rowSet for the key scheme.
-func (r *Result) Distinct() *Result {
-	out := &Result{Vars: r.Vars}
-	if len(r.Vars) == 0 {
-		if len(r.Rows) > 0 {
-			out.Rows = r.Rows[:1]
-		}
-		return out
-	}
-	seen := newRowSet(len(r.Vars), len(r.Rows))
-	for _, row := range r.Rows {
-		if seen.add(row) {
-			out.Rows = append(out.Rows, row)
-		}
-	}
-	return out
-}
-
-// Limit truncates the result to at most n rows (n <= 0 means no limit).
-func (r *Result) Limit(n int) *Result {
-	if n <= 0 || len(r.Rows) <= n {
-		return r
-	}
-	return &Result{Vars: r.Vars, Rows: r.Rows[:n]}
 }
 
 // Sort orders rows lexicographically by ID; evaluation order is otherwise

@@ -25,12 +25,16 @@ type SortedSource interface {
 var _ SortedSource = (*store.Store)(nil)
 
 // pstep is one executable step of a prepared plan: either an index
-// nested-loop step over one pattern (merge == nil), or a merge-intersection
-// group — several patterns that each constrain the same single unbound
-// variable with every other position constant or already bound, evaluated as
-// a k-way sorted-list intersection instead of scan-and-probe.
+// nested-loop step over one pattern (merge == nil) whose matches feed match,
+// or a merge-intersection group — several patterns that each constrain the
+// same single unbound variable with every other position constant or already
+// bound, evaluated as a k-way sorted-list intersection instead of
+// scan-and-probe.
 type pstep struct {
-	cp       cpattern
+	cp cpattern
+	// match binds one matched triple and descends; built once per plan so
+	// the per-triple inner loop runs closure-allocation-free.
+	match    func(store.Triple) bool
 	merge    []cpattern
 	mergeVar int
 	// reusable intersection scratch, per step so nested merge groups do not
@@ -40,13 +44,14 @@ type pstep struct {
 }
 
 // Prepared is a BGP compiled and planned once and evaluated many times — the
-// prepared-statement counterpart of EvalBGP. It caches the compiled patterns
-// and the join plan keyed on the dictionary version: while no new terms are
-// coined, re-evaluation reuses the plan and every scratch buffer, so the
-// steady-state cost per call is the join work plus the result rows and
-// nothing else (zero planning allocations). When the dictionary grows, the
-// next evaluation transparently recompiles and replans — constants that did
-// not resolve before may now, and fresh statistics feed the optimizer.
+// engine's one evaluator: a one-off query is a Prepare followed by a single
+// EvalDistinct. It caches the compiled patterns and the join plan keyed on
+// the dictionary version: while no new terms are coined, re-evaluation
+// reuses the plan and every scratch buffer, so the steady-state cost per call
+// is the join work plus the result rows and nothing else (zero planning
+// allocations). When the dictionary grows, the next evaluation transparently
+// recompiles and replans — constants that did not resolve before may now,
+// and fresh statistics feed the optimizer.
 //
 // A Prepared is bound to one Source and one Dict (the source can be swapped
 // with Rebind — the snapshot-serving path does this on every epoch). It
@@ -63,10 +68,9 @@ type Prepared struct {
 	patterns []rdf.Triple
 
 	version   uint64
-	c         *Compiled
+	c         compiled // c.patterns == nil until the first compile
 	steps     []pstep
 	planSteps []PlanStep
-	callbacks []func(store.Triple) bool
 	// planSize is the source's total size when the plan was last computed;
 	// the drift check compares against it on every refresh.
 	planSize int
@@ -76,25 +80,27 @@ type Prepared struct {
 	undo    []int
 	rowHint int
 
-	// fused projection+distinct state for EvalDistinct
+	// fused projection+distinct state
 	proj    []string
 	projIdx []int
 	projRow []dict.ID
-	seen    *rowSet
+	seen    *RowSet
 
 	// per-call state
-	res      *Result
-	arena    []dict.ID
-	w        int
-	distinct bool
+	res   *Result
+	arena []dict.ID
+	limit int  // stop after this many rows (0 = all)
+	stop  bool // limit reached: unwind the join
 }
 
 // Prepare compiles and plans the BGP against src and d for repeated
 // evaluation. Structural errors (empty BGP, zero terms) surface here; a
 // constant missing from the dictionary is not an error — the query is empty
-// until the term is coined, at which point the plan refreshes itself.
+// until the term is coined, at which point the plan refreshes itself. The
+// Prepared retains patterns (it recompiles from them on dictionary growth),
+// so the caller must not modify the slice afterwards.
 func Prepare(src Source, patterns []rdf.Triple, d *dict.Dict) (*Prepared, error) {
-	p := &Prepared{src: src, d: d, patterns: slices.Clone(patterns)}
+	p := &Prepared{src: src, d: d, patterns: patterns}
 	if ss, ok := src.(SortedSource); ok {
 		p.ss = ss
 	}
@@ -128,13 +134,13 @@ var PlanStats struct {
 // is a version check plus one O(1) Count and nothing more.
 func (p *Prepared) refresh() error {
 	v := p.d.Version()
-	if p.c != nil && v == p.version {
+	if p.c.patterns != nil && v == p.version {
 		if n := p.src.Count(store.Triple{}); n > replanDrift*p.planSize || replanDrift*n < p.planSize {
 			p.replan()
 		}
 		return nil
 	}
-	c, err := Compile(p.patterns, p.d)
+	c, err := compile(p.patterns, p.d)
 	if err != nil {
 		return err
 	}
@@ -154,7 +160,7 @@ func (p *Prepared) refresh() error {
 func (p *Prepared) replan() {
 	PlanStats.Replanned.Add(1)
 	p.planSize = p.src.Count(store.Triple{})
-	p.planSteps = p.c.plan(p.src)
+	p.planSteps = p.c.plan(p.src, p.planSteps)
 	p.buildSteps()
 }
 
@@ -175,7 +181,7 @@ func (p *Prepared) Rebind(src Source) {
 	hadSorted := p.ss != nil
 	p.src = src
 	p.ss, _ = src.(SortedSource)
-	if p.c != nil && hadSorted != (p.ss != nil) {
+	if hadSorted != (p.ss != nil) {
 		p.buildSteps()
 	}
 }
@@ -204,14 +210,17 @@ func soleUnbound(cp cpattern, bound []bool) (int, bool) {
 // results. Grouping requires a SortedSource; otherwise every step stays a
 // nested-loop step.
 func (p *Prepared) buildSteps() {
-	c := p.c
-	ordered := make([]cpattern, len(p.planSteps))
+	c := &p.c
+	var orderedBuf [smallBGP]cpattern
+	var usedBuf [smallBGP]bool
+	var boundBuf [3 * smallBGP]bool
+	ordered := scratch(orderedBuf[:], len(p.planSteps))
 	for i, st := range p.planSteps {
 		ordered[i] = c.patterns[st.PatternIndex]
 	}
+	used := scratch(usedBuf[:], len(ordered))
+	bound := scratch(boundBuf[:], len(c.vars))
 	p.steps = p.steps[:0]
-	bound := make([]bool, len(c.vars))
-	used := make([]bool, len(ordered))
 	for i, cp := range ordered {
 		if used[i] {
 			continue
@@ -219,17 +228,20 @@ func (p *Prepared) buildSteps() {
 		used[i] = true
 		if p.ss != nil {
 			if v, ok := soleUnbound(cp, bound); ok {
-				group := []cpattern{cp}
+				var group []cpattern
 				for j := i + 1; j < len(ordered); j++ {
 					if used[j] {
 						continue
 					}
 					if v2, ok2 := soleUnbound(ordered[j], bound); ok2 && v2 == v {
+						if group == nil {
+							group = []cpattern{cp}
+						}
 						group = append(group, ordered[j])
 						used[j] = true
 					}
 				}
-				if len(group) >= 2 {
+				if group != nil {
 					p.steps = append(p.steps, pstep{merge: group, mergeVar: v})
 					bound[v] = true
 					continue
@@ -243,13 +255,13 @@ func (p *Prepared) buildSteps() {
 		}
 		p.steps = append(p.steps, pstep{cp: cp})
 	}
-	// One persistent callback per step; the per-triple inner loop then runs
-	// closure-allocation-free on every later evaluation too.
-	p.callbacks = make([]func(store.Triple) bool, len(p.steps))
 	for depth := range p.steps {
-		cp := p.steps[depth].cp
-		next := depth + 1
-		p.callbacks[depth] = func(t store.Triple) bool {
+		st := &p.steps[depth]
+		if st.merge != nil {
+			continue
+		}
+		cp, next := st.cp, depth+1
+		st.match = func(t store.Triple) bool {
 			mark := len(p.undo)
 			if bind(cp, t, p.b, &p.undo) {
 				p.rec(next)
@@ -258,7 +270,7 @@ func (p *Prepared) buildSteps() {
 				p.b[v] = dict.None
 			}
 			p.undo = p.undo[:mark]
-			return true
+			return !p.stop
 		}
 	}
 }
@@ -273,42 +285,31 @@ func (p *Prepared) Plan() []PlanStep {
 	return p.planSteps
 }
 
-// Eval evaluates the prepared BGP, returning one row per match over all
-// variables (bag semantics, like Compiled.Eval).
-//
-//webreason:hotpath
-func (p *Prepared) Eval() *Result {
-	//lint:ignore hotpath recompile/replan is the cold revalidation branch; steady-state refresh is a version check plus one O(1) Count
-	p.refresh()
-	p.distinct = false
-	p.w = len(p.c.vars)
-	return p.run(p.c.vars)
-}
-
 // EvalDistinct evaluates the prepared BGP projected onto proj with
-// duplicate rows removed — the fused equivalent of
-// Eval().Project(proj).Distinct(), without materialising the intermediate
-// results. Projection variables not bound by the pattern yield dict.None
-// columns (as Project does). The dedup sets are retained between calls, so
-// steady-state evaluation allocates only the result itself; projections
-// wider than three columns fall back to string keys and additionally pay
-// one key allocation per distinct row.
+// duplicate rows removed, fusing projection and dedup into the join so no
+// intermediate result is materialised. Projection variables not bound by
+// the pattern yield dict.None columns. With limit > 0 the join stops as soon
+// as limit distinct rows exist (an empty projection has at most one row, so
+// it always stops at the first match). The Prepared retains proj until a
+// call with a different projection, so the caller must not modify it. The
+// dedup sets are retained between calls, so steady-state evaluation
+// allocates only the result itself; projections wider than three columns
+// fall back to string keys and additionally pay one key allocation per
+// distinct row.
 //
 //webreason:hotpath
-func (p *Prepared) EvalDistinct(proj []string) *Result {
+func (p *Prepared) EvalDistinct(proj []string, limit int) *Result {
 	//lint:ignore hotpath recompile/replan is the cold revalidation branch; steady-state refresh is a version check plus one O(1) Count
 	p.refresh()
 	if !slices.Equal(proj, p.proj) {
 		//lint:ignore hotpath projection change is a cold branch; steady-state calls reuse the cached projection
-		p.setProjection(slices.Clone(proj))
+		p.setProjection(proj)
 	}
-	p.distinct = true
-	p.w = len(p.proj)
-	return p.run(p.proj)
+	p.limit = limit
+	return p.run()
 }
 
-// setProjection computes the projection column map; proj must be owned by
-// the Prepared (already cloned).
+// setProjection computes the projection column map.
 func (p *Prepared) setProjection(proj []string) {
 	p.proj = proj
 	if cap(p.projIdx) < len(proj) {
@@ -318,17 +319,13 @@ func (p *Prepared) setProjection(proj []string) {
 	p.projIdx = p.projIdx[:len(proj)]
 	p.projRow = p.projRow[:len(proj)]
 	for i, v := range proj {
-		if j, ok := p.c.varIndex[v]; ok {
-			p.projIdx[i] = j
-		} else {
-			p.projIdx[i] = -1
-		}
+		p.projIdx[i] = slices.Index(p.c.vars, v)
 	}
 }
 
-// run executes the prepared plan and collects rows of width p.w.
-func (p *Prepared) run(vars []string) *Result {
-	res := &Result{Vars: vars}
+// run executes the prepared plan and collects the distinct projected rows.
+func (p *Prepared) run() *Result {
+	res := &Result{Vars: p.proj}
 	if p.c.impossible {
 		return res
 	}
@@ -341,9 +338,8 @@ func (p *Prepared) run(vars []string) *Result {
 	p.undo = p.undo[:0]
 	p.res = res
 	p.arena = nil
-	if p.distinct {
-		p.resetSeen()
-	}
+	p.stop = false
+	p.resetSeen()
 	p.rec(0)
 	p.rowHint = len(res.Rows)
 	p.res, p.arena = nil, nil
@@ -361,7 +357,7 @@ func (p *Prepared) rec(depth int) {
 		p.execMerge(depth)
 		return
 	}
-	p.src.ForEachMatch(concrete(st.cp, p.b), p.callbacks[depth])
+	p.src.ForEachMatch(concrete(st.cp, p.b), st.match)
 }
 
 // execMerge evaluates a merge group: fetch the sorted leaf of each pattern
@@ -397,6 +393,9 @@ func (p *Prepared) execMerge(depth int) {
 	for _, id := range cur {
 		p.b[v] = id
 		p.rec(depth + 1)
+		if p.stop {
+			break
+		}
 	}
 	p.b[v] = dict.None
 }
@@ -404,28 +403,24 @@ func (p *Prepared) execMerge(depth int) {
 // resetSeen readies the shared dedup set for the current width, keeping
 // allocated buckets when the width is unchanged.
 func (p *Prepared) resetSeen() {
-	if p.w == 0 {
+	w := len(p.proj)
+	if w == 0 {
 		return
 	}
-	if p.seen == nil || p.seen.w != p.w {
-		p.seen = newRowSet(p.w, max(p.rowHint, 16))
+	if p.seen == nil || p.seen.w != w {
+		p.seen = NewRowSet(w, max(p.rowHint, 16))
 		return
 	}
-	p.seen.reset()
+	p.seen.Reset()
 }
 
-// emit materialises the current bindings as a result row: the full binding
-// vector in bag mode, or the projected row after passing the dedup set in
-// distinct mode.
+// emit projects the current bindings and, if the row is new, materialises
+// it in the result; reaching the limit stops the join.
 func (p *Prepared) emit() {
-	if !p.distinct {
-		p.emitRow(p.b)
-		return
-	}
-	if p.w == 0 {
-		if len(p.res.Rows) == 0 {
-			p.res.Rows = append(p.res.Rows, nil)
-		}
+	w := len(p.proj)
+	if w == 0 {
+		p.res.Rows = append(p.res.Rows, nil)
+		p.stop = true
 		return
 	}
 	row := p.projRow
@@ -436,27 +431,24 @@ func (p *Prepared) emit() {
 			row[i] = dict.None
 		}
 	}
-	if p.seen.add(row) {
-		p.emitRow(row)
-	}
-}
-
-// emitRow copies src into the result arena as a fresh row. Rows are carved
-// out of chunks sized by the previous call's row count, so a steady-state
-// evaluation fills exactly one chunk.
-func (p *Prepared) emitRow(src []dict.ID) {
-	w := p.w
-	if w == 0 {
-		p.res.Rows = append(p.res.Rows, nil)
+	if !p.seen.Add(row) {
 		return
 	}
+	// Rows are carved out of chunks sized by the previous call's row count,
+	// so a steady-state evaluation fills exactly one chunk.
 	if len(p.arena)+w > cap(p.arena) {
 		rows := max(p.rowHint, 64)
+		if p.limit > 0 {
+			rows = min(rows, p.limit)
+		}
 		p.arena = make([]dict.ID, 0, rows*w)
 	}
 	n := len(p.arena)
 	p.arena = p.arena[: n+w : cap(p.arena)]
-	row := p.arena[n : n+w : n+w]
-	copy(row, src)
-	p.res.Rows = append(p.res.Rows, row)
+	out := p.arena[n : n+w : n+w]
+	copy(out, row)
+	p.res.Rows = append(p.res.Rows, out)
+	if len(p.res.Rows) == p.limit {
+		p.stop = true
+	}
 }

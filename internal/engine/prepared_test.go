@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -14,30 +15,35 @@ import (
 
 // bruteEval is the reference evaluator: a naive nested loop over the full
 // triple list with term-level binding maps — no dictionary, no indexes, no
-// planner. Prepared's merge joins and plan caching must agree with it
-// exactly (bag semantics).
-func bruteEval(triples []rdf.Triple, patterns []rdf.Triple) [][]string {
-	// Variable order must match the engine's: first occurrence.
-	var vars []string
-	seen := map[string]bool{}
-	for _, p := range patterns {
-		for _, t := range []rdf.Term{p.S, p.P, p.O} {
-			if t.IsVar() && !seen[t.Value] {
-				seen[t.Value] = true
-				vars = append(vars, t.Value)
+// planner — projected onto proj (every variable, in first-occurrence order,
+// when nil) with duplicates removed. Prepared's merge joins, plan caching
+// and fused distinct must agree with it exactly.
+func bruteEval(triples []rdf.Triple, patterns []rdf.Triple, proj []string) [][]string {
+	if proj == nil {
+		seen := map[string]bool{}
+		for _, p := range patterns {
+			for _, t := range []rdf.Term{p.S, p.P, p.O} {
+				if t.IsVar() && !seen[t.Value] {
+					seen[t.Value] = true
+					proj = append(proj, t.Value)
+				}
 			}
 		}
 	}
 	var rows [][]string
+	emitted := map[string]bool{}
 	binding := map[string]rdf.Term{}
 	var rec func(depth int)
 	rec = func(depth int) {
 		if depth == len(patterns) {
-			row := make([]string, len(vars))
-			for i, v := range vars {
+			row := make([]string, len(proj))
+			for i, v := range proj {
 				row[i] = binding[v].String()
 			}
-			rows = append(rows, row)
+			if key := strings.Join(row, "|"); !emitted[key] {
+				emitted[key] = true
+				rows = append(rows, row)
+			}
 			return
 		}
 		pat := patterns[depth]
@@ -75,7 +81,7 @@ func bruteEval(triples []rdf.Triple, patterns []rdf.Triple) [][]string {
 	return rows
 }
 
-// canon renders rows as a sorted multiset for comparison.
+// canon renders rows as a sorted list for comparison.
 func canon(rows [][]string) []string {
 	out := make([]string, len(rows))
 	for i, r := range rows {
@@ -152,7 +158,7 @@ func genPatterns(rng *rand.Rand, n int) []rdf.Triple {
 }
 
 // TestPreparedMatchesBruteForce cross-checks Prepared evaluation (merge
-// joins, plan caching, fused distinct) against the naive reference on
+// joins, plan caching, fused distinct, limits) against the naive reference on
 // randomized graphs and BGPs, then grows the graph — and the dictionary —
 // and re-checks the same Prepared instances to exercise the dict-version
 // invalidation path.
@@ -187,8 +193,8 @@ func TestPreparedMatchesBruteForce(t *testing.T) {
 				// Evaluate twice: the second run hits the fully-warm path
 				// (cached plan, reused scratch, populated row hints).
 				for round := 0; round < 2; round++ {
-					got := canon(decodeRows(t, c.p.Eval(), d))
-					want := canon(bruteEval(triples, c.pats))
+					got := canon(decodeRows(t, c.p.EvalDistinct(c.p.Vars(), 0), d))
+					want := canon(bruteEval(triples, c.pats, nil))
 					if len(got) != len(want) {
 						t.Fatalf("seed %d %s case %d round %d: got %d rows, want %d\npatterns: %v",
 							seed, stage, ci, round, len(got), len(want), c.pats)
@@ -200,13 +206,25 @@ func TestPreparedMatchesBruteForce(t *testing.T) {
 						}
 					}
 				}
-				// EvalDistinct must agree with Eval().Project().Distinct().
+				// A narrower projection (?x may not even occur) dedups
+				// across the dropped columns.
 				proj := []string{"x"}
-				gotD := canon(decodeRows(t, c.p.EvalDistinct(proj), d))
-				wantD := canon(decodeRows(t, c.p.Eval().Project(proj).Distinct(), d))
+				gotD := canon(decodeRows(t, c.p.EvalDistinct(proj, 0), d))
+				wantD := canon(bruteEval(triples, c.pats, proj))
 				if strings.Join(gotD, "\n") != strings.Join(wantD, "\n") {
-					t.Fatalf("seed %d %s case %d: EvalDistinct mismatch:\ngot  %v\nwant %v\npatterns: %v",
+					t.Fatalf("seed %d %s case %d: projected mismatch:\ngot  %v\nwant %v\npatterns: %v",
 						seed, stage, ci, gotD, wantD, c.pats)
+				}
+				// A limit returns that many of the distinct rows.
+				lim := c.p.EvalDistinct(proj, 2)
+				limRows := canon(decodeRows(t, lim, d))
+				if len(limRows) != min(2, len(wantD)) {
+					t.Fatalf("seed %d %s case %d: limit 2 gave %d rows of %d", seed, stage, ci, len(limRows), len(wantD))
+				}
+				for _, r := range limRows {
+					if !slices.Contains(wantD, r) {
+						t.Fatalf("seed %d %s case %d: limited row %q not an answer", seed, stage, ci, r)
+					}
 				}
 			}
 		}
@@ -250,11 +268,11 @@ func TestPreparedResolvesNewConstants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Eval(); len(got.Rows) != 0 {
+	if got := p.EvalDistinct(p.Vars(), 0); len(got.Rows) != 0 {
 		t.Fatalf("unknown constant: want empty, got %d rows", len(got.Rows))
 	}
 	st.Add(store.Triple{S: d.Encode(iri("a")), P: d.Encode(iri("p")), O: d.Encode(iri("late"))})
-	if got := p.Eval(); len(got.Rows) != 1 {
+	if got := p.EvalDistinct(p.Vars(), 0); len(got.Rows) != 1 {
 		t.Fatalf("after coining constant: want 1 row, got %d", len(got.Rows))
 	}
 }
@@ -287,7 +305,7 @@ func TestPreparedMergeGroupsForm(t *testing.T) {
 	if len(p.steps) != 1 || p.steps[0].merge == nil || len(p.steps[0].merge) != 2 {
 		t.Fatalf("expected one merge group of 2 patterns, got steps %+v", p.steps)
 	}
-	if got := p.Eval(); len(got.Rows) != 25 {
+	if got := p.EvalDistinct(p.Vars(), 0); len(got.Rows) != 25 {
 		t.Fatalf("merge join: want 25 rows, got %d", len(got.Rows))
 	}
 }

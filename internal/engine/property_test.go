@@ -8,63 +8,48 @@ import (
 	"repro/internal/dict"
 )
 
-// TestResultOpsProperties checks algebraic invariants of the result
-// operators with testing/quick: Distinct is idempotent, Project preserves
-// row count, Limit never grows, Sort is a permutation.
+// TestResultOpsProperties checks algebraic invariants of the row operators
+// with testing/quick: RowSet agrees with a reference set on every width
+// (array keys and string keys alike, before and after Reset), and Sort is a
+// sorted permutation.
 func TestResultOpsProperties(t *testing.T) {
-	gen := func(seed int64) *Result {
+	gen := func(seed int64, w int) [][]dict.ID {
 		rng := rand.New(rand.NewSource(seed))
-		r := &Result{Vars: []string{"a", "b"}}
-		n := rng.Intn(30)
-		for i := 0; i < n; i++ {
-			r.Rows = append(r.Rows, []dict.ID{dict.ID(rng.Intn(4) + 1), dict.ID(rng.Intn(4) + 1)})
+		rows := make([][]dict.ID, rng.Intn(30))
+		for i := range rows {
+			rows[i] = make([]dict.ID, w)
+			for j := range rows[i] {
+				rows[i][j] = dict.ID(rng.Intn(4) + 1)
+			}
 		}
-		return r
+		return rows
 	}
 
-	distinctIdempotent := func(seed int64) bool {
-		r := gen(seed)
-		d1 := r.Distinct()
-		d2 := d1.Distinct()
-		if len(d1.Rows) != len(d2.Rows) {
-			return false
-		}
-		for i := range d1.Rows {
-			for j := range d1.Rows[i] {
-				if d1.Rows[i][j] != d2.Rows[i][j] {
+	rowSetMatchesReference := func(seed int64, width uint8) bool {
+		w := int(width % 6)
+		s := NewRowSet(w, 0)
+		for round := 0; round < 2; round++ {
+			ref := map[string]bool{}
+			for _, row := range gen(seed+int64(round), w) {
+				key := ""
+				for _, id := range row {
+					key += string(rune(id)) + ","
+				}
+				if s.Add(row) == ref[key] {
 					return false
 				}
+				ref[key] = true
 			}
+			s.Reset()
 		}
 		return true
 	}
-	if err := quick.Check(distinctIdempotent, nil); err != nil {
-		t.Errorf("Distinct not idempotent: %v", err)
-	}
-
-	projectPreservesRows := func(seed int64) bool {
-		r := gen(seed)
-		p := r.Project([]string{"b"})
-		return len(p.Rows) == len(r.Rows) && len(p.Vars) == 1
-	}
-	if err := quick.Check(projectPreservesRows, nil); err != nil {
-		t.Errorf("Project changed row count: %v", err)
-	}
-
-	limitNeverGrows := func(seed int64, n uint8) bool {
-		r := gen(seed)
-		l := r.Limit(int(n))
-		if int(n) == 0 {
-			return len(l.Rows) == len(r.Rows)
-		}
-		return len(l.Rows) <= int(n) && len(l.Rows) <= len(r.Rows)
-	}
-	if err := quick.Check(limitNeverGrows, nil); err != nil {
-		t.Errorf("Limit misbehaves: %v", err)
+	if err := quick.Check(rowSetMatchesReference, nil); err != nil {
+		t.Errorf("RowSet disagrees with a reference set: %v", err)
 	}
 
 	sortIsPermutation := func(seed int64) bool {
-		r := gen(seed)
+		r := &Result{Vars: []string{"a", "b"}, Rows: gen(seed, 2)}
 		count := map[[2]dict.ID]int{}
 		for _, row := range r.Rows {
 			count[[2]dict.ID{row[0], row[1]}]++
@@ -89,26 +74,5 @@ func TestResultOpsProperties(t *testing.T) {
 	}
 	if err := quick.Check(sortIsPermutation, nil); err != nil {
 		t.Errorf("Sort not a sorted permutation: %v", err)
-	}
-
-	distinctSubsetOfInput := func(seed int64) bool {
-		r := gen(seed)
-		d := r.Distinct()
-		if len(d.Rows) > len(r.Rows) {
-			return false
-		}
-		seen := map[[2]dict.ID]bool{}
-		for _, row := range r.Rows {
-			seen[[2]dict.ID{row[0], row[1]}] = true
-		}
-		for _, row := range d.Rows {
-			if !seen[[2]dict.ID{row[0], row[1]}] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(distinctSubsetOfInput, nil); err != nil {
-		t.Errorf("Distinct invented rows: %v", err)
 	}
 }

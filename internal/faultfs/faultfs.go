@@ -1,11 +1,12 @@
 // Package faultfs is a fault-injecting persist.FS for deterministic
 // robustness testing. A Schedule scripts exactly which operations fail and
 // how — the Nth fsync returns EIO, writes hit ENOSPC once a byte budget is
-// spent, a chosen write is torn after a prefix, an op class gains latency —
-// and Wrap interposes it between the persistence layer and a real
-// filesystem. The same schedule replayed against the same workload injects
-// the same faults, so chaos tests are seeded-reproducible and unit tests can
-// aim a single fault at a single protocol step.
+// spent, a chosen write is torn after a prefix, an op class gains latency,
+// a chosen op is held until the test releases it — and Wrap interposes it
+// between the persistence layer and a real filesystem. The same schedule
+// replayed against the same workload injects the same faults, so chaos
+// tests are seeded-reproducible and unit tests can aim a single fault at a
+// single protocol step.
 //
 // Every injected error wraps ErrInjected (so tests can tell scripted faults
 // from real ones) and the modelled cause (so production code sees the errno
@@ -84,6 +85,7 @@ type rule struct {
 	cause   error         // modelled errno for faults; nil for latency rules
 	keep    int           // torn write: payload bytes persisted before failing (-1 = not torn)
 	latency time.Duration // latency rules: sleep per match
+	hold    *Hold         // hold rules: park the nth match until released
 	seen    int
 	fired   bool
 }
@@ -187,6 +189,73 @@ func (s *Schedule) LatencyOn(op Op, pathSub string, d time.Duration) *Schedule {
 	return s
 }
 
+// Hold is a gate that a schedule parks operations on (see HoldOn): a parked
+// operation announces itself on Held, waits for Release, and then runs —
+// or fails, if another rule says so. Tests use it to freeze the
+// persistence layer at an exact protocol step, with no sleeps.
+type Hold struct {
+	held    chan struct{}
+	release chan struct{}
+	once    sync.Once
+}
+
+// NewHold returns a shut gate with nothing parked on it.
+func NewHold() *Hold { return &Hold{held: make(chan struct{}, 1), release: make(chan struct{})} }
+
+// Held receives once for each operation parked on the hold.
+func (h *Hold) Held() <-chan struct{} { return h.held }
+
+// Release lets every parked operation, and any later one, proceed.
+func (h *Hold) Release() { h.once.Do(func() { close(h.release) }) }
+
+func (h *Hold) park() {
+	select {
+	case h.held <- struct{}{}:
+	case <-h.release:
+		return
+	}
+	<-h.release
+}
+
+// HoldOn parks the nth op of class op whose path contains pathSub on h
+// until h is released (nth == 0 parks every match).
+func (s *Schedule) HoldOn(op Op, pathSub string, nth int, h *Hold) *Schedule {
+	s.rules = append(s.rules, &rule{op: op, pathSub: pathSub, nth: nth, keep: -1, hold: h})
+	return s
+}
+
+// delay is what the schedule makes one operation wait before it runs.
+type delay struct {
+	sleep time.Duration
+	hold  *Hold
+}
+
+func (d delay) wait() {
+	if d.sleep > 0 {
+		time.Sleep(d.sleep)
+	}
+	if d.hold != nil {
+		d.hold.park()
+	}
+}
+
+// delayed folds a matched latency or hold rule into d, reporting whether r
+// was one (and so injects no fault).
+func (d *delay) delayed(r *rule) bool {
+	switch {
+	case r.latency > 0:
+		d.sleep += r.latency
+	case r.hold != nil:
+		if d.hold == nil && r.due() {
+			r.fired = true
+			d.hold = r.hold
+		}
+	default:
+		return false
+	}
+	return true
+}
+
 // FS implements persist.FS over an inner FS, injecting the attached
 // Schedule's faults. Safe for concurrent use; rule matching is serialised
 // under one mutex so schedules stay deterministic for a deterministic
@@ -246,18 +315,14 @@ func (f *FS) OpCount(op Op) int {
 	return 0
 }
 
-// check runs the schedule for one non-write operation: it returns the sleep
-// to apply (outside the lock) and the fault to return, if any.
-func (f *FS) check(op Op, path string) (sleep time.Duration, fault error) {
+// check runs the schedule for one non-write operation: it returns the delay
+// to wait out (outside the lock) and the fault to return, if any.
+func (f *FS) check(op Op, path string) (d delay, fault error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.opSeen[op]++
 	for _, r := range f.sched.rules {
-		if !r.matches(op, path) {
-			continue
-		}
-		if r.latency > 0 {
-			sleep += r.latency
+		if !r.matches(op, path) || d.delayed(r) {
 			continue
 		}
 		if fault == nil && r.due() {
@@ -266,23 +331,19 @@ func (f *FS) check(op Op, path string) (sleep time.Duration, fault error) {
 			fault = &Fault{Op: op, Path: path, Cause: r.cause}
 		}
 	}
-	return sleep, fault
+	return d, fault
 }
 
 // checkWrite runs the schedule for one write of n payload bytes. It returns
 // how many bytes to pass through to the inner file (n when no fault fires)
 // and the fault to return after the partial write, if any.
-func (f *FS) checkWrite(path string, n int) (sleep time.Duration, allow int, fault error) {
+func (f *FS) checkWrite(path string, n int) (d delay, allow int, fault error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.opSeen[OpWrite]++
 	allow = n
 	for _, r := range f.sched.rules {
-		if !r.matches(OpWrite, path) {
-			continue
-		}
-		if r.latency > 0 {
-			sleep += r.latency
+		if !r.matches(OpWrite, path) || d.delayed(r) {
 			continue
 		}
 		if fault == nil && r.due() {
@@ -306,16 +367,14 @@ func (f *FS) checkWrite(path string, n int) (sleep time.Duration, allow int, fau
 		}
 	}
 	f.written += int64(allow)
-	return sleep, allow, fault
+	return d, allow, fault
 }
 
 // --- persist.FS ---
 
 func (f *FS) MkdirAll(dir string, perm os.FileMode) error {
-	sleep, fault := f.check(OpMkdir, dir)
-	if sleep > 0 {
-		time.Sleep(sleep)
-	}
+	d, fault := f.check(OpMkdir, dir)
+	d.wait()
 	if fault != nil {
 		return fault
 	}
@@ -323,10 +382,8 @@ func (f *FS) MkdirAll(dir string, perm os.FileMode) error {
 }
 
 func (f *FS) OpenFile(name string, flag int, perm os.FileMode) (persist.File, error) {
-	sleep, fault := f.check(OpOpen, name)
-	if sleep > 0 {
-		time.Sleep(sleep)
-	}
+	d, fault := f.check(OpOpen, name)
+	d.wait()
 	if fault != nil {
 		return nil, fault
 	}
@@ -338,10 +395,8 @@ func (f *FS) OpenFile(name string, flag int, perm os.FileMode) (persist.File, er
 }
 
 func (f *FS) Open(name string) (persist.File, error) {
-	sleep, fault := f.check(OpOpen, name)
-	if sleep > 0 {
-		time.Sleep(sleep)
-	}
+	d, fault := f.check(OpOpen, name)
+	d.wait()
 	if fault != nil {
 		return nil, fault
 	}
@@ -353,10 +408,8 @@ func (f *FS) Open(name string) (persist.File, error) {
 }
 
 func (f *FS) ReadFile(name string) ([]byte, error) {
-	sleep, fault := f.check(OpRead, name)
-	if sleep > 0 {
-		time.Sleep(sleep)
-	}
+	d, fault := f.check(OpRead, name)
+	d.wait()
 	if fault != nil {
 		return nil, fault
 	}
@@ -367,10 +420,8 @@ func (f *FS) ReadFile(name string) ([]byte, error) {
 // replication existed — a latency rule slowing reads, a failing disk —
 // applies to a follower's incremental stream reads without any change.
 func (f *FS) ReadFileFrom(name string, off int64) ([]byte, error) {
-	sleep, fault := f.check(OpRead, name)
-	if sleep > 0 {
-		time.Sleep(sleep)
-	}
+	d, fault := f.check(OpRead, name)
+	d.wait()
 	if fault != nil {
 		return nil, fault
 	}
@@ -378,10 +429,8 @@ func (f *FS) ReadFileFrom(name string, off int64) ([]byte, error) {
 }
 
 func (f *FS) ReadDir(dir string) ([]fs.DirEntry, error) {
-	sleep, fault := f.check(OpReadDir, dir)
-	if sleep > 0 {
-		time.Sleep(sleep)
-	}
+	d, fault := f.check(OpReadDir, dir)
+	d.wait()
 	if fault != nil {
 		return nil, fault
 	}
@@ -389,10 +438,8 @@ func (f *FS) ReadDir(dir string) ([]fs.DirEntry, error) {
 }
 
 func (f *FS) Rename(oldpath, newpath string) error {
-	sleep, fault := f.check(OpRename, newpath)
-	if sleep > 0 {
-		time.Sleep(sleep)
-	}
+	d, fault := f.check(OpRename, newpath)
+	d.wait()
 	if fault != nil {
 		return fault
 	}
@@ -400,10 +447,8 @@ func (f *FS) Rename(oldpath, newpath string) error {
 }
 
 func (f *FS) Remove(name string) error {
-	sleep, fault := f.check(OpRemove, name)
-	if sleep > 0 {
-		time.Sleep(sleep)
-	}
+	d, fault := f.check(OpRemove, name)
+	d.wait()
 	if fault != nil {
 		return fault
 	}
@@ -411,10 +456,8 @@ func (f *FS) Remove(name string) error {
 }
 
 func (f *FS) Truncate(name string, size int64) error {
-	sleep, fault := f.check(OpTruncate, name)
-	if sleep > 0 {
-		time.Sleep(sleep)
-	}
+	d, fault := f.check(OpTruncate, name)
+	d.wait()
 	if fault != nil {
 		return fault
 	}
@@ -429,10 +472,8 @@ type file struct {
 }
 
 func (fl *file) Write(p []byte) (int, error) {
-	sleep, allow, fault := fl.fs.checkWrite(fl.path, len(p))
-	if sleep > 0 {
-		time.Sleep(sleep)
-	}
+	d, allow, fault := fl.fs.checkWrite(fl.path, len(p))
+	d.wait()
 	if fault == nil {
 		return fl.inner.Write(p)
 	}
@@ -447,10 +488,8 @@ func (fl *file) Write(p []byte) (int, error) {
 }
 
 func (fl *file) Sync() error {
-	sleep, fault := fl.fs.check(OpSync, fl.path)
-	if sleep > 0 {
-		time.Sleep(sleep)
-	}
+	d, fault := fl.fs.check(OpSync, fl.path)
+	d.wait()
 	if fault != nil {
 		return fault
 	}

@@ -183,6 +183,36 @@ func TestLatency(t *testing.T) {
 	}
 }
 
+// TestHoldParksTheNthOp: the held sync waits for Release and then runs
+// (failing here, by a second rule on the same sync); syncs before and after
+// it pass straight through.
+func TestHoldParksTheNthOp(t *testing.T) {
+	dir := t.TempDir()
+	hold := NewHold()
+	fsys := New(NewSchedule().HoldOn(OpSync, "", 2, hold).FailSync(2))
+	f := openWrite(t, fsys, filepath.Join(dir, "a"))
+	defer f.Close()
+
+	if err := f.Sync(); err != nil {
+		t.Fatalf("sync 1 should pass unheld: %v", err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- f.Sync() }()
+	<-hold.Held()
+	select {
+	case err := <-done:
+		t.Fatalf("held sync returned before Release: %v", err)
+	default:
+	}
+	hold.Release()
+	if err := <-done; !errors.Is(err, ErrInjected) {
+		t.Fatalf("released sync 2 = %v, want the scripted fault", err)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatalf("sync 3 should pass unheld: %v", err)
+	}
+}
+
 func TestClearRepairsDisk(t *testing.T) {
 	dir := t.TempDir()
 	fsys := New(NewSchedule().FailOpAlways(OpSync, "", 1, syscall.EIO))

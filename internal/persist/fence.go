@@ -9,9 +9,6 @@ import (
 	"strings"
 )
 
-// isNotExist matches ENOENT through any wrapping an FS implementation adds.
-func isNotExist(err error) bool { return errors.Is(err, fs.ErrNotExist) }
-
 // Fencing. Every WAL and snapshot header carries the monotonic term of the
 // primary that wrote it. Failover bumps the term: a promoted follower opens
 // its local chain with Options.Term one above the highest term it ever
@@ -78,7 +75,7 @@ func WriteFence(fsys FS, dir string, term uint64) error {
 func readFence(fsys FS, dir string) (uint64, error) {
 	b, err := fsys.ReadFile(fencePath(dir))
 	if err != nil {
-		if isNotExist(err) {
+		if errors.Is(err, fs.ErrNotExist) {
 			return 0, nil
 		}
 		return 0, err

@@ -16,8 +16,8 @@ import (
 // a buffer first and written with one call).
 //
 // All paths are interpreted exactly as package os would interpret them; an
-// implementation must return errors satisfying the usual os predicates
-// (os.IsNotExist etc.) where the underlying condition matches.
+// implementation must return errors that match the io/fs sentinels under
+// errors.Is (fs.ErrNotExist etc.) where the underlying condition matches.
 type FS interface {
 	// MkdirAll creates dir (and parents) like os.MkdirAll.
 	MkdirAll(dir string, perm os.FileMode) error

@@ -196,61 +196,10 @@ func TestOpenRejectsUnknownSyncPolicy(t *testing.T) {
 	}
 }
 
-// TestGroupCommitFsyncFailureIsSticky pins the failure half of the
-// durable-prefix contract: when a covering group fsync fails, the staged
-// acks receive the error AND the DB refuses every later append — a record
-// under the failed fsync may be gone (the kernel reports an fsync error
-// once, then clears it), so acknowledging anything behind it would lie.
-func TestGroupCommitFsyncFailureIsSticky(t *testing.T) {
-	dir := t.TempDir()
-	// An effectively infinite window keeps the background syncer parked so
-	// the test drives groupFlush deterministically.
-	db, err := Open(dir, Options{Sync: SyncGroup, GroupDelay: time.Hour, CheckpointBytes: -1, CheckpointRecords: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	acked := make(chan error, 1)
-	if err := db.AppendAck(false, groupTriples(0), func(err error) { acked <- err }); err != nil {
-		t.Fatal(err)
-	}
-	// Sabotage the covering fsync: swap in a closed handle.
-	bad, err := os.Create(filepath.Join(t.TempDir(), "bad"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad.Close()
-	db.mu.Lock()
-	good := db.wal
-	db.wal = bad
-	db.mu.Unlock()
-	db.groupFlush()
-	if err := <-acked; err == nil {
-		t.Fatal("ack reported durable despite the failed covering fsync")
-	}
-	if err := db.AppendAck(false, groupTriples(1), nil); err == nil {
-		t.Fatal("append accepted after a failed group fsync")
-	}
-	// A record staged during the failing fsync (before the sticky error
-	// landed, so it slipped past AppendAck's gate) must receive the sticky
-	// error from the next flush — never a nil ack off a later, spuriously
-	// succeeding fsync: it sits behind the durability hole.
-	db.mu.Lock()
-	db.wal = good
-	db.staged = append(db.staged, func(err error) { acked <- err })
-	db.syncPending = true
-	db.mu.Unlock()
-	db.groupFlush()
-	if err := <-acked; err == nil {
-		t.Fatal("record behind the durability hole acknowledged as durable")
-	}
-	if err := db.Close(); err == nil {
-		t.Fatal("Close swallowed the sticky group-fsync failure")
-	}
-}
-
-// TestRotateFsyncFailureIsSticky pins the same contract on the rotation
-// path: a failed rotation fsync leaves the same durability hole as a failed
-// group fsync and must refuse later appends.
+// TestRotateFsyncFailureIsSticky pins the group-fsync failure contract (see
+// TestGroupCommitFsyncFailureIsSticky) on the rotation path: a failed
+// rotation fsync leaves the same durability hole as a failed group fsync
+// and must refuse later appends.
 func TestRotateFsyncFailureIsSticky(t *testing.T) {
 	db, err := Open(t.TempDir(), Options{Sync: SyncGroup, GroupDelay: time.Hour, CheckpointBytes: -1, CheckpointRecords: -1})
 	if err != nil {

@@ -37,6 +37,7 @@ package persist
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"slices"
@@ -1065,7 +1066,7 @@ func (db *DB) removeBelow(gen uint64) {
 		return
 	}
 	remove := func(path string) {
-		if err := db.fs.Remove(path); err != nil && !os.IsNotExist(err) {
+		if err := db.fs.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
 			// ENOENT is not a failure: a concurrent pass already won.
 			db.gcFails.Add(1)
 		}

@@ -3,6 +3,7 @@ package persist
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -20,7 +21,7 @@ func mkState(t testing.TB, n int, saturated bool) State {
 	t.Helper()
 	d := dict.New()
 	base := store.New()
-	baseSet := store.NewTripleSet(n)
+	baseSet := store.NewTripleSet()
 	sat := store.New()
 	for i := 0; i < n; i++ {
 		tr := store.Triple{
@@ -617,7 +618,7 @@ func TestOrphanSnapshotTmpSwept(t *testing.T) {
 		t.Fatal(err)
 	}
 	db2.Close()
-	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
+	if _, err := os.Stat(orphan); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("orphan %s survived Open: %v", orphan, err)
 	}
 }

@@ -2,7 +2,9 @@ package persist
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 )
 
@@ -109,7 +111,7 @@ func ScanChain(fsys FS, dir string) (ChainInfo, error) {
 	for _, g := range wals {
 		f, err := fsys.Open(walPath(dir, g))
 		if err != nil {
-			if isNotExist(err) {
+			if errors.Is(err, fs.ErrNotExist) {
 				continue // GC'd between the listing and the open
 			}
 			return ChainInfo{}, err
@@ -201,7 +203,7 @@ func (m *Mirror) recover() error {
 	for i := len(snaps) - 1; i >= 0; i-- {
 		ls, err := readSnapshotFile(m.fs, snapshotPath(m.dir, snaps[i]))
 		if err != nil {
-			if rerr := m.fs.Remove(snapshotPath(m.dir, snaps[i])); rerr != nil && !isNotExist(rerr) {
+			if rerr := m.fs.Remove(snapshotPath(m.dir, snaps[i])); rerr != nil && !errors.Is(rerr, fs.ErrNotExist) {
 				return rerr
 			}
 			continue
@@ -218,7 +220,7 @@ func (m *Mirror) recover() error {
 	// apply and is deleted for re-fetch.
 	drop := func(from int) error {
 		for _, g := range wals[from:] {
-			if err := m.fs.Remove(walPath(m.dir, g)); err != nil && !isNotExist(err) {
+			if err := m.fs.Remove(walPath(m.dir, g)); err != nil && !errors.Is(err, fs.ErrNotExist) {
 				return err
 			}
 		}
@@ -227,7 +229,7 @@ func (m *Mirror) recover() error {
 	expected := m.snapGen
 	for i, g := range wals {
 		if g < m.snapGen {
-			if err := m.fs.Remove(walPath(m.dir, g)); err != nil && !isNotExist(err) {
+			if err := m.fs.Remove(walPath(m.dir, g)); err != nil && !errors.Is(err, fs.ErrNotExist) {
 				return err
 			}
 			continue

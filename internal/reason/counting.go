@@ -37,7 +37,7 @@ type Counting struct {
 // MaterializeCounting saturates g under rules, tracking derivation counts.
 func MaterializeCounting(g *store.Store, rules []Rule) *Counting {
 	c := &Counting{
-		st:          store.NewWithCapacity(g.Len()),
+		st:          store.New(),
 		rules:       rules,
 		base:        make(map[store.Triple]struct{}, g.Len()),
 		derivations: make(map[store.Triple]int),

@@ -40,8 +40,8 @@ type Stats struct {
 // resulting materialization. The input store is not modified.
 func Materialize(g *store.Store, rules []Rule) *Materialization {
 	m := &Materialization{
-		st:    store.NewWithCapacity(g.Len()),
-		base:  store.NewTripleSet(g.Len()),
+		st:    store.New(),
+		base:  store.NewTripleSet(),
 		rules: rules,
 	}
 	delta := make([]store.Triple, 0, g.Len())

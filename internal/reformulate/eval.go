@@ -18,11 +18,19 @@ type PreparedUCQ struct {
 	branches  []*engine.Prepared
 	fixedCols [][]int
 	fixedIDs  [][]dict.ID
+	seen      *engine.RowSet // cross-branch dedup, reused across calls
 }
 
 // Prepare compiles every branch of the union against src and d.
 func (u *UCQ) Prepare(src engine.Source, d *dict.Dict) (*PreparedUCQ, error) {
-	pu := &PreparedUCQ{u: u, proj: u.Query.Projection()}
+	n := len(u.Branches)
+	pu := &PreparedUCQ{
+		u:         u,
+		proj:      u.Query.Projection(),
+		branches:  make([]*engine.Prepared, 0, n),
+		fixedCols: make([][]int, 0, n),
+		fixedIDs:  make([][]dict.ID, 0, n),
+	}
 	for _, br := range u.Branches {
 		p, err := engine.Prepare(src, br.Patterns, d)
 		if err != nil {
@@ -64,56 +72,46 @@ func (pu *PreparedUCQ) Rebind(src engine.Source) {
 // invalidate the union and Rebind alone is not sound.
 func (pu *PreparedUCQ) VocabDependent() bool { return pu.u.VocabDependent }
 
-// Evaluate runs every prepared branch and unions the answers, deduplicated
-// over the original projection — the same result as UCQ.Evaluate with the
-// per-branch compile-and-plan cost amortised away. Each branch evaluates
-// with a fused projection+dedup, so only branch-distinct rows are
-// materialised before the cross-branch dedup.
-func (pu *PreparedUCQ) Evaluate() (*engine.Result, error) {
+// Evaluate runs every prepared branch and unions the answers,
+// deduplicated over the original projection — q_ref(G) = q(G∞) of
+// Section II-B, with variables fixed by the rewriting emitted as constant
+// columns. Each branch evaluates with a fused projection+dedup, so only
+// branch-distinct rows are materialised before the cross-branch dedup. With
+// limit > 0 each branch stops after limit rows and the union after limit
+// distinct rows, skipping the remaining branches: of a branch's first limit
+// rows at most as many repeat earlier answers as the union already holds,
+// so the truncation never loses an answer the union needs.
+func (pu *PreparedUCQ) Evaluate(limit int) *engine.Result {
+	if len(pu.branches) == 1 {
+		return pu.evalBranch(0, limit) // one branch's rows are distinct already
+	}
 	out := &engine.Result{Vars: pu.proj}
-	for bi, p := range pu.branches {
-		res := p.EvalDistinct(pu.proj)
-		for _, row := range res.Rows {
-			for k, col := range pu.fixedCols[bi] {
-				row[col] = pu.fixedIDs[bi][k]
+	if pu.seen == nil {
+		pu.seen = engine.NewRowSet(len(pu.proj), 16)
+	} else {
+		pu.seen.Reset()
+	}
+	for bi := range pu.branches {
+		for _, row := range pu.evalBranch(bi, limit).Rows {
+			if !pu.seen.Add(row) {
+				continue
+			}
+			out.Rows = append(out.Rows, row)
+			if len(out.Rows) == limit {
+				return out
 			}
 		}
-		out.Rows = append(out.Rows, res.Rows...)
 	}
-	return out.Distinct(), nil
+	return out
 }
 
-// Evaluate runs the union against a triple source (normally the original,
-// unsaturated store whose schema component is closed) and returns the
-// deduplicated answer set over the original query's projection — the
-// q_ref(G) = q(G∞) of Section II-B. Variables fixed by the rewriting are
-// emitted as constant columns.
-func (u *UCQ) Evaluate(src engine.Source, d *dict.Dict) (*engine.Result, error) {
-	proj := u.Query.Projection()
-	out := &engine.Result{Vars: proj}
-	for _, br := range u.Branches {
-		res, err := engine.EvalBGP(src, br.Patterns, d)
-		if err != nil {
-			return nil, err
+// evalBranch runs branch bi and fills in the columns its rewriting fixed.
+func (pu *PreparedUCQ) evalBranch(bi, limit int) *engine.Result {
+	res := pu.branches[bi].EvalDistinct(pu.proj, limit)
+	for _, row := range res.Rows {
+		for k, col := range pu.fixedCols[bi] {
+			row[col] = pu.fixedIDs[bi][k]
 		}
-		res = res.Project(proj)
-		// Fill columns for variables the rewriting bound to constants.
-		var fixedCols []int
-		var fixedIDs []dict.ID
-		for i, v := range proj {
-			if t, ok := br.Fixed[v]; ok {
-				if id, known := d.Lookup(t); known {
-					fixedCols = append(fixedCols, i)
-					fixedIDs = append(fixedIDs, id)
-				}
-			}
-		}
-		for _, row := range res.Rows {
-			for k, col := range fixedCols {
-				row[col] = fixedIDs[k]
-			}
-		}
-		out.Rows = append(out.Rows, res.Rows...)
 	}
-	return out.Distinct(), nil
+	return res
 }

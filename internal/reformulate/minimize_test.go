@@ -124,16 +124,8 @@ func TestMinimizePreservesAnswers(t *testing.T) {
 		if min.Size() > ucq.Size() {
 			t.Errorf("%s: minimization grew the union", qtext)
 		}
-		full, err := ucq.Evaluate(k.st, k.d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reduced, err := min.Evaluate(k.st, k.d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fullRows := rowsToStrings(full, k.d)
-		minRows := rowsToStrings(reduced, k.d)
+		fullRows := rowsToStrings(evalUCQ(t, ucq, k.st, k.d, 0), k.d)
+		minRows := rowsToStrings(evalUCQ(t, min, k.st, k.d, 0), k.d)
 		if len(fullRows) != len(minRows) {
 			t.Fatalf("%s: minimization changed answers (%d vs %d)", qtext, len(fullRows), len(minRows))
 		}

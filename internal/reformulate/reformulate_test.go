@@ -70,22 +70,28 @@ func (k *kb) answers(t *testing.T, qtext string) (viaSat, viaRef []string) {
 	q := sparql.MustParse(qtext)
 	proj := q.Projection()
 
-	satRes, err := engine.EvalBGP(k.sat, q.Patterns, k.d)
+	sat, err := engine.Prepare(k.sat, q.Patterns, k.d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaSat = rowsToStrings(satRes.Project(proj).Distinct(), k.d)
+	viaSat = rowsToStrings(sat.EvalDistinct(proj, 0), k.d)
 
 	ucq, err := Reformulate(q, k.sch, k.d, k.st, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	refRes, err := ucq.Evaluate(k.st, k.d)
+	viaRef = rowsToStrings(evalUCQ(t, ucq, k.st, k.d, 0), k.d)
+	return viaSat, viaRef
+}
+
+// evalUCQ prepares the union against src and evaluates it once.
+func evalUCQ(t *testing.T, u *UCQ, src engine.Source, d *dict.Dict, limit int) *engine.Result {
+	t.Helper()
+	pu, err := u.Prepare(src, d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaRef = rowsToStrings(refRes, k.d)
-	return viaSat, viaRef
+	return pu.Evaluate(limit)
 }
 
 func rowsToStrings(r *engine.Result, d *dict.Dict) []string {
@@ -263,11 +269,7 @@ func TestUnknownClassReformulatesToItself(t *testing.T) {
 	if ucq.Size() != 1 {
 		t.Errorf("unknown class should not expand, got %d branches", ucq.Size())
 	}
-	res, err := ucq.Evaluate(k.st, k.d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 0 {
+	if res := evalUCQ(t, ucq, k.st, k.d, 0); len(res.Rows) != 0 {
 		t.Errorf("unknown class should have no answers")
 	}
 }
@@ -304,5 +306,43 @@ func TestReformulateValidatesQuery(t *testing.T) {
 	bad := &sparql.Query{} // empty pattern
 	if _, err := Reformulate(bad, k.sch, k.d, k.st, Options{}); err == nil {
 		t.Error("empty query should fail validation")
+	}
+}
+
+// scanCounter is a Source that counts the pattern scans the evaluator
+// starts, to observe which union branches ran.
+type scanCounter struct {
+	st    *store.Store
+	scans int
+}
+
+func (c *scanCounter) ForEachMatch(pat store.Triple, fn func(store.Triple) bool) {
+	c.scans++
+	c.st.ForEachMatch(pat, fn)
+}
+
+func (c *scanCounter) Count(pat store.Triple) int { return c.st.Count(pat) }
+
+// TestUnionAskStopsAtFirstAnsweringBranch: an ASK over a union stops in the
+// first branch that has an answer and never scans the later branches, while
+// the full evaluation scans every one of them.
+func TestUnionAskStopsAtFirstAnsweringBranch(t *testing.T) {
+	k := universityKB(t)
+	q := sparql.MustParse(prefix + "ASK { ?x a ex:Person }")
+	ucq, err := Reformulate(q, k.sch, k.d, k.st, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ucq.Size() < 2 {
+		t.Fatalf("want a union, got %d branches", ucq.Size())
+	}
+	src := &scanCounter{st: k.st}
+	// The first branch is the query itself, answered by "pat a Person".
+	if res := evalUCQ(t, ucq, src, k.d, 1); len(res.Rows) != 1 || src.scans != 1 {
+		t.Errorf("ASK: %d rows after %d scans, want 1 row after 1 scan", len(res.Rows), src.scans)
+	}
+	src.scans = 0
+	if res := evalUCQ(t, ucq, src, k.d, 0); len(res.Rows) < 2 || src.scans != ucq.Size() {
+		t.Errorf("full run: %d rows after %d scans, want several after %d", len(res.Rows), src.scans, ucq.Size())
 	}
 }

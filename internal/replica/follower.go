@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"sync"
 	"time"
 
@@ -369,7 +370,7 @@ func (f *Follower) step(info persist.ChainInfo) (bool, error) {
 	if snap > f.mirror.SnapshotGen() && snap <= gen {
 		b, err := f.cfg.Source.ReadSnapshot(snap)
 		if err != nil {
-			if isNotExist(err) {
+			if errors.Is(err, fs.ErrNotExist) {
 				return false, nil // GC'd mid-scan; a newer one will appear
 			}
 			return false, err
@@ -413,7 +414,7 @@ func (f *Follower) step(info persist.ChainInfo) (bool, error) {
 func (f *Follower) fetchWAL(gen uint64, off int64) (bool, error) {
 	b, err := f.cfg.Source.ReadWALFrom(gen, off)
 	if err != nil {
-		if isNotExist(err) {
+		if errors.Is(err, fs.ErrNotExist) {
 			return false, nil // GC'd between scan and read; next scan decides
 		}
 		return false, err

@@ -37,7 +37,6 @@ package replica
 
 import (
 	"fmt"
-	"os"
 
 	"repro/internal/persist"
 )
@@ -97,7 +96,3 @@ func (f *FSFeeder) ReadWALFrom(gen uint64, off int64) ([]byte, error) {
 func (f *FSFeeder) Fence(term uint64) error { return persist.WriteFence(f.fs, f.dir, term) }
 
 func (f *FSFeeder) String() string { return fmt.Sprintf("fs:%s", f.dir) }
-
-// isNotExist matches ENOENT through FS wrapping (a chain file GC'd between
-// the scan and the read — the follower treats it as lagging, not an error).
-func isNotExist(err error) bool { return os.IsNotExist(err) }

@@ -27,11 +27,8 @@ type TripleSet struct {
 	copied uint64
 }
 
-// NewTripleSet returns an empty set; n is ignored (see NewWithCapacity).
-func NewTripleSet(n int) *TripleSet {
-	_ = n
-	return &TripleSet{sortMu: &sync.Mutex{}}
-}
+// NewTripleSet returns an empty set.
+func NewTripleSet() *TripleSet { return &TripleSet{sortMu: &sync.Mutex{}} }
 
 // Contains reports membership of the (fully concrete) triple.
 func (s *TripleSet) Contains(t Triple) bool {

@@ -288,20 +288,9 @@ type Store struct {
 	copied uint64
 }
 
-// New returns an empty store.
-func New() *Store { return NewWithCapacity(0) }
-
-// NewWithCapacity returns an empty store ready for roughly n triples. The
-// persistent-trie indexes grow incrementally, so n only exists for API
-// compatibility with the earlier map-backed layout; it is ignored.
-func NewWithCapacity(n int) *Store {
-	_ = n
-	return &Store{tables: tables{sortMu: &sync.Mutex{}}}
-}
-
-// Reserve is a no-op kept for API compatibility: the trie indexes need no
-// pre-sizing (nodes grow by insertion, and there are no hash maps to rehash).
-func (s *Store) Reserve(n int) {}
+// New returns an empty store. The persistent-trie indexes grow by
+// insertion, so there is nothing to pre-size.
+func New() *Store { return &Store{tables: tables{sortMu: &sync.Mutex{}}} }
 
 // CopiedNodes returns the cumulative number of copy-on-write copies (trie
 // nodes, index entries, postings leaves) the store's mutations have paid.

@@ -1,7 +1,9 @@
 package webreason_test
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -66,7 +68,7 @@ func copyDataDir(t *testing.T, src string) string {
 		ok := true
 		for _, e := range entries {
 			b, err := os.ReadFile(filepath.Join(src, e.Name()))
-			if os.IsNotExist(err) {
+			if errors.Is(err, fs.ErrNotExist) {
 				ok = false // GC raced the copy; retry from a fresh listing
 				break
 			}

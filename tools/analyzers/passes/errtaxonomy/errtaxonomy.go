@@ -12,7 +12,11 @@
 //   - fmt.Errorf calls that format an error-typed argument with a verb
 //     other than %w: the cause silently falls out of the Is/As chain.
 //     Stringifying via err.Error() remains available as the explicit
-//     opt-out where a boundary intentionally seals its cause.
+//     opt-out where a boundary intentionally seals its cause;
+//   - os.IsNotExist, os.IsExist and os.IsPermission: they inspect only the
+//     error itself and a few os wrappers, not %w chains, so a wrapping FS
+//     turns a benign condition into a failure. errors.Is with the io/fs
+//     sentinels (fs.ErrNotExist, fs.ErrExist, fs.ErrPermission) unwraps.
 package errtaxonomy
 
 import (
@@ -27,7 +31,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "errtaxonomy",
-	Doc:  "sentinel comparisons must use errors.Is and fmt.Errorf must wrap causes with %w",
+	Doc:  "sentinel comparisons and os error predicates must use errors.Is, and fmt.Errorf must wrap causes with %w",
 	Run:  run,
 }
 
@@ -64,6 +68,7 @@ func run(pass *analysis.Pass) error {
 					}
 				case *ast.CallExpr:
 					checkErrorf(pass, n)
+					checkOSPredicate(pass, n)
 				}
 				return true
 			})
@@ -99,6 +104,25 @@ func checkErrorf(pass *analysis.Pass, call *ast.CallExpr) {
 		if verb != 'w' {
 			pass.Reportf(arg.Pos(), "error argument formatted with %%%c drops it from the errors.Is/As chain; wrap with %%w (or seal it explicitly via err.Error())", printableVerb(verb))
 		}
+	}
+}
+
+// osPredicates maps the os error predicates that ignore %w chains to the
+// io/fs sentinel that errors.Is should test instead.
+var osPredicates = map[string]string{
+	"IsNotExist":   "fs.ErrNotExist",
+	"IsExist":      "fs.ErrExist",
+	"IsPermission": "fs.ErrPermission",
+}
+
+// checkOSPredicate flags calls of the os error predicates.
+func checkOSPredicate(pass *analysis.Pass, call *ast.CallExpr) {
+	fn := analysis.CalleeOf(pass.Info, call)
+	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "os" {
+		return
+	}
+	if sentinel, ok := osPredicates[fn.Name()]; ok {
+		pass.Reportf(call.Pos(), "os.%s does not unwrap %%w chains; use errors.Is(err, %s)", fn.Name(), sentinel)
 	}
 }
 

@@ -5,6 +5,8 @@ package errclean
 import (
 	"errors"
 	"fmt"
+	"io/fs"
+	"os"
 )
 
 var errSentinel = errors.New("sentinel")
@@ -38,4 +40,12 @@ func sealed(err error) error {
 	// Stringifying via err.Error() is the explicit opt-out for a boundary
 	// that intentionally seals its cause.
 	return fmt.Errorf("sealed: %s", err.Error())
+}
+
+// osSentinels tests filesystem conditions through the io/fs sentinels,
+// which errors.Is finds through any wrapping; os.IsTimeout is not one of
+// the flagged predicates.
+func osSentinels(err error) bool {
+	return errors.Is(err, fs.ErrNotExist) || errors.Is(err, fs.ErrExist) ||
+		errors.Is(err, fs.ErrPermission) || os.IsTimeout(err)
 }

@@ -4,6 +4,7 @@ package errfix
 import (
 	"errors"
 	"fmt"
+	"os"
 )
 
 var errSentinel = errors.New("sentinel")
@@ -36,4 +37,10 @@ func wrapS(err error) error {
 
 func wrapSecond(err error) error {
 	return fmt.Errorf("%w at step %d: %v", errSentinel, 3, err) // want "error argument formatted with %v drops it"
+}
+
+func osPredicates(err error) (bool, bool, bool) {
+	return os.IsNotExist(err), // want "os.IsNotExist does not unwrap %w chains; use errors.Is\\(err, fs.ErrNotExist\\)"
+		os.IsExist(err), // want "os.IsExist does not unwrap %w chains; use errors.Is\\(err, fs.ErrExist\\)"
+		os.IsPermission(err) // want "os.IsPermission does not unwrap %w chains; use errors.Is\\(err, fs.ErrPermission\\)"
 }
